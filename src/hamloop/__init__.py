@@ -27,10 +27,8 @@ from .invariant import (
     InvariantReport,
     LoopSpec,
     Verdict,
-    facet_contribution,
     invariant_coordinate,
     invariant_loop,
-    normalized_constant,
     verdict,
 )
 from .oracles import (
@@ -73,10 +71,10 @@ __all__ = [
     "Simplex", "SmoothnessClass", "UnboundedPolytope", "Verdict",
     "ZeroVector", "blowup_model", "build_model", "check_assumptions",
     "cpn_invariant", "cpn_kappa", "cpn_model", "determinant",
-    "enumerate_vertices", "facet_contribution", "facet_lattice_volume",
+    "enumerate_vertices", "facet_lattice_volume",
     "facet_values_closed_form", "integer_kernel", "integrate_affine",
     "integrate_affine_facet", "invariant_closed_form", "invariant_coordinate",
     "invariant_factors", "invariant_loop", "kappa_closed_form",
-    "lasserre_volume", "normalized_constant", "primitive", "simplex_volume",
+    "lasserre_volume", "primitive", "simplex_volume",
     "smoothness_class", "solve_rational", "triangulate", "verdict", "volume",
 ]

@@ -16,7 +16,6 @@ from .delzant import (
     AssumptionsViolated,
     NotFullDimensional,
     build_model,
-    check_assumptions,
     smoothness_class,
 )
 from .exact_linalg import NoSolution
@@ -99,13 +98,6 @@ def _run_compute(args) -> int:
     except ManifoldFormatError as exc:
         return _fail(1, f"invalid input: {exc}")
 
-    report = check_assumptions(inp.weights)
-    if not report.rank_ok:
-        return _fail(2, f"validation failed: the weight vectors span rank "
-                        f"{report.rank} < {report.required_rank}")
-    if not report.halfspace_ok:
-        return _fail(2, "validation failed: no open half space contains every "
-                        "weight vector")
     try:
         model = build_model(inp.weights, inp.level)
     except AssumptionsViolated as exc:
@@ -121,7 +113,7 @@ def _run_compute(args) -> int:
         return _fail(2, f"validation failed: tau is not a regular value ({exc})")
 
     loop_reports = [invariant_loop(model, loop) for loop in loops]
-    doc = build_report(inp, report, model, smoothness_class(model), loop_reports)
+    doc = build_report(inp, model, smoothness_class(model), loop_reports)
     sys.stdout.write(render_report_text(doc))
     if args.json:
         with open(args.json, "wb") as handle:

@@ -27,8 +27,11 @@ from .exact_linalg import (
 from .polytope import (
     AffineForm,
     EmptyPolytope,
+    Moments,
     Polytope,
+    facet_moments,
     interior_point,
+    moments,
 )
 
 
@@ -79,7 +82,8 @@ class DelzantModel:
     primitive facet normal (row_k(Q) = scales[k] * normal); it is None for
     slices whose gradient vanishes (constant slices, which never cut the
     polytope). ineq_index maps each coordinate to its inequality index in
-    the polytope, or None for constant slices.
+    the polytope, or None for constant slices, as is facet_moments[k]. The
+    moments are computed once, here; every integral downstream reads them.
     """
 
     weights: IntMatrix
@@ -90,6 +94,9 @@ class DelzantModel:
     scales: tuple[Optional[int], ...]
     ineq_index: tuple[Optional[int], ...]
     polytope: Polytope
+    assumptions: AssumptionReport
+    moments: Moments
+    facet_moments: tuple[Optional[Moments], ...]
 
     @property
     def m(self) -> int:
@@ -174,8 +181,14 @@ def build_model(W: IntMatrix, level: Sequence,
     poly = Polytope.from_inequalities(n, inequalities)
     if n > 0 and interior_point(n, poly.inequalities) is None:
         raise NotFullDimensional("the polytope has empty interior")
-    return DelzantModel(W, level_vec, Q, s0, slices,
-                        tuple(scales), tuple(ineq_index), poly)
+    for vertex, tight in zip(poly.vertices, poly.incidence):
+        if len(tight) != n:
+            raise NotFullDimensional(f"{len(tight)} slices vanish at the vertex "
+                                     f"({', '.join(map(str, vertex))}), not n = {n}")
+    facets = tuple(None if idx is None else facet_moments(poly.facet(idx))
+                   for idx in ineq_index)
+    return DelzantModel(W, level_vec, Q, s0, slices, tuple(scales), tuple(ineq_index),
+                        poly, report, moments(poly), facets)
 
 
 def smoothness_class(model: DelzantModel) -> SmoothnessClass:

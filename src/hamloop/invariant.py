@@ -19,10 +19,10 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .delzant import DelzantModel
-from .polytope import facet_lattice_volume, integrate_affine, integrate_affine_facet, volume
+from .polytope import AffineForm, Moments
 
 
 class Verdict(enum.Enum):
@@ -60,30 +60,16 @@ def verdict(value: Fraction) -> Verdict:
     return Verdict.INFINITE_CYCLIC if value != 0 else Verdict.INCONCLUSIVE
 
 
-def normalized_constant(model: DelzantModel, coord: int) -> Fraction:
-    """Mean of slice `coord` over the polytope (exact rational)."""
-    _check_coord(model, coord)
-    return integrate_affine(model.polytope, model.slices[coord]) / volume(model.polytope)
-
-
-def facet_contribution(model: DelzantModel, coord: int, k: int) -> Fraction:
-    """Contribution of coordinate k's facet to the loop rotating `coord`."""
-    _check_coord(model, coord)
-    _check_coord(model, k)
-    kappa = normalized_constant(model, coord)
-    return _facet_term(model, coord, k, kappa, factorial(model.dim))
-
-
 def invariant_coordinate(model: DelzantModel, coord: int) -> InvariantReport:
     """Full report for the loop rotating one coordinate."""
-    _check_coord(model, coord)
-    kappa = normalized_constant(model, coord)
+    loop = LoopSpec.coordinate(model.m, coord)
+    s = model.slices[coord]
+    kappa = model.moments.integrate(s) / model.moments.mass
     fact = factorial(model.dim)
-    contributions = tuple(_facet_term(model, coord, k, kappa, fact)
-                          for k in range(model.m))
+    contributions = tuple(_facet_term(facet, s, kappa, fact)
+                          for facet in model.facet_moments)
     total = sum(contributions, Fraction(0))
-    return InvariantReport(LoopSpec.coordinate(model.m, coord), kappa,
-                           contributions, total, verdict(total))
+    return InvariantReport(loop, kappa, contributions, total, verdict(total))
 
 
 def invariant_loop(model: DelzantModel,
@@ -105,16 +91,8 @@ def invariant_loop(model: DelzantModel,
     return InvariantReport(chosen, kappa, tuple(contributions), total, verdict(total))
 
 
-def _facet_term(model: DelzantModel, coord: int, k: int,
+def _facet_term(facet: Optional[Moments], s: AffineForm,
                 kappa: Fraction, fact: int) -> Fraction:
-    facet = model.facet_of_coord(k)
-    if facet is None or not facet.full:
+    if facet is None:
         return Fraction(0)
-    s = model.slices[coord]
-    return -fact * (integrate_affine_facet(facet, s)
-                    - kappa * facet_lattice_volume(facet))
-
-
-def _check_coord(model: DelzantModel, coord: int) -> None:
-    if not 0 <= coord < model.m:
-        raise ValueError(f"coordinate index {coord} out of range for m={model.m}")
+    return -fact * (facet.integrate(s) - kappa * facet.mass)

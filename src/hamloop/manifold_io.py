@@ -23,10 +23,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .delzant import AssumptionReport, DelzantModel, SmoothnessClass
+from .delzant import DelzantModel, SmoothnessClass
 from .exact_linalg import IntMatrix
 from .invariant import InvariantReport
-from .polytope import facet_lattice_volume, volume
 
 
 class ManifoldFormatError(Exception):
@@ -36,9 +35,14 @@ class ManifoldFormatError(Exception):
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
+def _is_int(value) -> bool:
+    """JSON integer; true and false are not (bool subclasses int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_rational(text, field: str = "value") -> Fraction:
     """Exact rational from a "p" or "p/q" string; rejects anything else."""
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ManifoldFormatError(f"{field}: expected an integer or 'p/q' string, got {text!r}")
@@ -75,7 +79,7 @@ def parse_manifold(data) -> ManifoldInput:
     r = None
     parsed_rows = []
     for j, row in enumerate(rows):
-        if not isinstance(row, list) or not row or not all(isinstance(e, int) for e in row):
+        if not isinstance(row, list) or not row or not all(_is_int(e) for e in row):
             raise ManifoldFormatError(f"weights[{j}]: expected a nonempty list of integers")
         if r is None:
             r = len(row)
@@ -102,7 +106,7 @@ def parse_manifold(data) -> ManifoldInput:
     loops = []
     for i, loop in enumerate(loops_raw):
         if (not isinstance(loop, list) or len(loop) != m
-                or not all(isinstance(e, int) for e in loop)):
+                or not all(_is_int(e) for e in loop)):
             raise ManifoldFormatError(f"loops[{i}]: expected {m} integers")
         loops.append(tuple(loop))
     return ManifoldInput(name, W, level, tuple(loops))
@@ -126,10 +130,10 @@ def loop_label(weights: Sequence[int]) -> str:
     return "(" + ",".join(str(c) for c in weights) + ")"
 
 
-def build_report(inp: ManifoldInput, assumptions: AssumptionReport,
-                 model: DelzantModel, smoothness: SmoothnessClass,
+def build_report(inp: ManifoldInput, model: DelzantModel, smoothness: SmoothnessClass,
                  loop_reports: Sequence[InvariantReport]) -> dict:
     """ReportFile dictionary with fixed field order; JSON-serializable."""
+    assumptions = model.assumptions
     witness = assumptions.halfspace_witness
     facets = []
     for k in range(model.m):
@@ -144,7 +148,7 @@ def build_report(inp: ManifoldInput, assumptions: AssumptionReport,
                 normal=list(facet.normal),
                 offset=format_rational(offset),
                 scale=model.scales[k],
-                lattice_volume=format_rational(facet_lattice_volume(facet)),
+                lattice_volume=format_rational(model.facet_moments[k].mass),
                 empty=not facet.full,
             )
         facets.append(entry)
@@ -172,7 +176,7 @@ def build_report(inp: ManifoldInput, assumptions: AssumptionReport,
         },
         "polytope": {
             "dimension": model.dim,
-            "volume": format_rational(volume(model.polytope)),
+            "volume": format_rational(model.moments.mass),
             "smoothness": smoothness.value,
             "vertices": [[format_rational(x) for x in v]
                          for v in model.polytope.vertices],

@@ -156,17 +156,11 @@ class Polytope:
         vertices, incidence = enumerate_vertices(dim, normalized)
         return cls(dim, normalized, vertices, incidence)
 
-    def contains(self, x: Sequence) -> bool:
-        return all(c + _dot(u, x) >= 0 for u, c in self.inequalities)
-
     def facet(self, k: int) -> Facet:
         u, _ = self.inequalities[k]
         ids = tuple(i for i in range(len(self.vertices)) if k in self.incidence[i])
         d = _affine_dim([self.vertices[i] for i in ids]) if ids else -1
         return Facet(self, k, u, sum(e * e for e in u), ids, d)
-
-    def facets(self) -> list[Facet]:
-        return [self.facet(k) for k in range(len(self.inequalities))]
 
 
 def enumerate_vertices(dim: int, inequalities: Sequence[Inequality]):
@@ -284,23 +278,36 @@ def triangulate(poly: Polytope, apex_rule: str = "lexmin") -> list[Simplex]:
             for cell in _face_cells(poly, ids, apex_rule)]
 
 
-def volume(poly: Polytope, apex_rule: str = "lexmin") -> Fraction:
-    """Lebesgue volume as the sum of |det E| / n! over a triangulation."""
-    return sum((simplex_volume(s) for s in triangulate(poly, apex_rule)), Fraction(0))
+@dataclass(frozen=True)
+class Moments:
+    """Mass (integral of 1) and first moment (integral of x) of a region."""
+
+    mass: Fraction
+    first: tuple[Fraction, ...]
+
+    def integrate(self, form: AffineForm) -> Fraction:
+        if len(form.gradient) != len(self.first):
+            raise ValueError("form dimension does not match the region")
+        return form.constant * self.mass + _dot(form.gradient, self.first)
 
 
-def integrate_affine(poly: Polytope, form: AffineForm,
-                     apex_rule: str = "lexmin") -> Fraction:
-    """Integral of an affine function; exact via the vertex-mean rule."""
-    total = Fraction(0)
-    for s in triangulate(poly, apex_rule):
-        mean = sum((form(v) for v in s.vertices), Fraction(0)) / len(s.vertices)
-        total += simplex_volume(s) * mean
-    return total
+def _sum_cells(dim: int, cells: Iterable[tuple[Fraction, Sequence[Point]]]) -> Moments:
+    """Moments of (measure, vertices) simplex cells, by the vertex-mean rule."""
+    mass = Fraction(0)
+    first = [Fraction(0)] * dim
+    for measure, points in cells:
+        mass += measure
+        weight = measure / len(points)
+        for p in points:
+            for i, x in enumerate(p):
+                first[i] += weight * x
+    return Moments(mass, tuple(first))
 
 
-def _facet_cells(facet: Facet, apex_rule: str) -> list[tuple[int, ...]]:
-    return _face_cells(facet.polytope, facet.vertex_ids, apex_rule)
+def moments(poly: Polytope, apex_rule: str = "lexmin") -> Moments:
+    """Lebesgue moments of the polytope over one triangulation."""
+    return _sum_cells(poly.dim, ((simplex_volume(s), s.vertices)
+                                 for s in triangulate(poly, apex_rule)))
 
 
 def _facet_cell_measure(facet: Facet, cell: tuple[int, ...]) -> Fraction:
@@ -313,26 +320,33 @@ def _facet_cell_measure(facet: Facet, cell: tuple[int, ...]) -> Fraction:
     return abs(determinant(rows)) / (factorial(n - 1) * facet.normal_norm_sq)
 
 
-def facet_lattice_volume(facet: Facet, apex_rule: str = "lexmin") -> Fraction:
-    """Lattice-normalized volume of a facet; 0 for empty or degenerate ones."""
-    if not facet.full:
-        return Fraction(0)
-    return sum((_facet_cell_measure(facet, cell)
-                for cell in _facet_cells(facet, apex_rule)), Fraction(0))
-
-
-def integrate_affine_facet(facet: Facet, form: AffineForm,
-                           apex_rule: str = "lexmin") -> Fraction:
-    """Integral of an affine function over a facet in lattice measure."""
-    if not facet.full:
-        return Fraction(0)
+def facet_moments(facet: Facet) -> Moments:
+    """Lattice-measure moments of a facet; zero for empty or degenerate ones."""
     poly = facet.polytope
-    total = Fraction(0)
-    for cell in _facet_cells(facet, apex_rule):
-        pts = [poly.vertices[i] for i in cell]
-        mean = sum((form(p) for p in pts), Fraction(0)) / len(pts)
-        total += _facet_cell_measure(facet, cell) * mean
-    return total
+    cells = _face_cells(poly, facet.vertex_ids, "lexmin") if facet.full else ()
+    return _sum_cells(poly.dim, ((_facet_cell_measure(facet, cell),
+                                  [poly.vertices[i] for i in cell]) for cell in cells))
+
+
+def volume(poly: Polytope, apex_rule: str = "lexmin") -> Fraction:
+    """Lebesgue volume as the sum of |det E| / n! over a triangulation."""
+    return moments(poly, apex_rule).mass
+
+
+def integrate_affine(poly: Polytope, form: AffineForm,
+                     apex_rule: str = "lexmin") -> Fraction:
+    """Integral of an affine function; exact via the vertex-mean rule."""
+    return moments(poly, apex_rule).integrate(form)
+
+
+def facet_lattice_volume(facet: Facet) -> Fraction:
+    """Lattice-normalized volume of a facet; 0 for empty or degenerate ones."""
+    return facet_moments(facet).mass
+
+
+def integrate_affine_facet(facet: Facet, form: AffineForm) -> Fraction:
+    """Integral of an affine function over a facet in lattice measure."""
+    return facet_moments(facet).integrate(form)
 
 
 def _dedup(ineqs: Sequence[Inequality]) -> list[Inequality]:

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import hamloop.delzant as delzant
+import hamloop.polytope as polytope
 from hamloop.cli import main
 from hamloop.manifold_io import parse_rational
 
@@ -86,6 +88,40 @@ class TestCompute:
             {"name": "m", "weights": [[1], [1]], "tau": ["1/0"]}))
         assert main(["compute", str(path)]) == 1
         assert "tau[0]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, doc", [
+        ("weights[0]", {**CP2_DOC, "weights": [[True], [1], [1]]}),
+        ("loops[0]", {**CP2_DOC, "loops": [[True, 0, 0]]}),
+        ("tau[0]", {**CP2_DOC, "tau": [True]}),
+    ])
+    def test_boolean_entries_exit_1(self, tmp_path, capsys, field, doc):
+        path = tmp_path / "bool.json"
+        path.write_text(json.dumps(doc))
+        assert main(["compute", str(path)]) == 1
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("weights, tau", [
+        # blow-up on the wall mu = tau: four slices meet at the origin
+        (BLOWUP_DOC["weights"], ["2", "2"]),
+        # level on the ray of the third weight column
+        ([[1, 0], [1, 0], [1, 1], [1, 2]], ["3", "3"]),
+    ])
+    def test_non_regular_level_exits_2(self, tmp_path, capsys, weights, tau):
+        path = tmp_path / "wall.json"
+        path.write_text(json.dumps({"name": "wall", "weights": weights, "tau": tau}))
+        assert main(["compute", str(path)]) == 2
+        assert "not a regular value" in capsys.readouterr().err
+
+    def test_geometry_computed_once(self, blowup_file, tmp_path, monkeypatch, capsys):
+        calls = {"triangulate": 0, "check_assumptions": 0}
+        for module, name in ((polytope, "triangulate"), (delzant, "check_assumptions")):
+            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        out = tmp_path / "report.json"
+        assert main(["compute", str(blowup_file), "--all", "--json", str(out)]) == 0
+        assert calls == {"triangulate": 1, "check_assumptions": 1}
 
     def test_bad_loop_index_exits_1(self, cp2_file, capsys):
         assert main(["compute", str(cp2_file), "--loop-index", "7"]) == 1

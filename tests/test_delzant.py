@@ -14,14 +14,26 @@ from hamloop import (
     build_model,
     check_assumptions,
     cpn_model,
+    integer_kernel,
+    lasserre_volume,
     smoothness_class,
     volume,
 )
+from hamloop.polytope import moments
+from hamloop.selftest import random_bounded_polytope, random_weight_data
 
 
 def blowup(tau=2, mu=1):
     W, level = blowup_model(BlowupParams(Fraction(tau), Fraction(mu)))
     return build_model(W, level)
+
+
+def model_with_normals(poly):
+    """The model whose kernel basis rows are the polytope's own normals."""
+    Q = IntMatrix.from_rows([u for u, _ in poly.inequalities])
+    W = integer_kernel(Q.transpose()).transpose()
+    offsets = [c for _, c in poly.inequalities]
+    return build_model(W, W.mul_vector(offsets), kernel_basis=Q, base_solution=offsets)
 
 
 class TestCheckAssumptions:
@@ -149,3 +161,32 @@ class TestChoiceIndependence:
             for k in range(base.m):
                 assert facet_lattice_volume(other.facet_of_coord(k)) == \
                     facet_lattice_volume(base.facet_of_coord(k))
+
+
+class TestMoments:
+    """The stored moments agree with the divergence recursion and with the
+    triangulation from the other apex."""
+
+    def test_random_weight_data(self):
+        rng = random.Random(4242)
+        for _ in range(10):
+            model = build_model(*random_weight_data(rng))
+            assert model.moments.mass == lasserre_volume(model.polytope)
+            assert model.moments == moments(model.polytope, "lexmax")
+
+    def test_random_bounded_polytopes(self):
+        rng = random.Random(4243)
+        regular = 0
+        for _ in range(10):
+            poly = random_bounded_polytope(rng)
+            try:
+                model = model_with_normals(poly)
+            except NotFullDimensional:
+                # a vertex on more than n facets is a level off the regular values
+                assert any(len(tight) != poly.dim for tight in poly.incidence)
+                continue
+            regular += 1
+            assert model.polytope.vertices == poly.vertices
+            assert model.moments.mass == lasserre_volume(model.polytope)
+            assert model.moments == moments(model.polytope, "lexmax")
+        assert regular > 0

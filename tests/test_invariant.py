@@ -11,11 +11,9 @@ from hamloop import (
     blowup_model,
     build_model,
     cpn_model,
-    facet_contribution,
     integrate_affine,
     invariant_coordinate,
     invariant_loop,
-    normalized_constant,
     verdict,
 )
 from hamloop.selftest import standard_grid
@@ -30,23 +28,24 @@ class TestNormalizedConstant:
     @pytest.mark.parametrize("tau", [Fraction(1), Fraction(2), Fraction(7, 3)])
     def test_cp1(self, tau):
         W, level = cpn_model(1, tau)
-        assert normalized_constant(build_model(W, level), 0) == tau / 2
+        assert invariant_coordinate(build_model(W, level), 0).kappa == tau / 2
 
     @pytest.mark.parametrize("tau", [Fraction(1), Fraction(3), Fraction(5, 2)])
     def test_cp2(self, tau):
         W, level = cpn_model(2, tau)
-        assert normalized_constant(build_model(W, level), 0) == tau / 3
+        assert invariant_coordinate(build_model(W, level), 0).kappa == tau / 3
 
     def test_blowup(self):
-        assert normalized_constant(blowup_pipeline(2, 1), 0) == Fraction(15, 28)
+        assert invariant_coordinate(blowup_pipeline(2, 1), 0).kappa == Fraction(15, 28)
 
 
 class TestFacetContribution:
     def test_tabulated_values(self):
         model = blowup_pipeline(2, 1)
-        assert facet_contribution(model, 0, 2) == Fraction(-44, 28)
-        assert facet_contribution(model, 0, 0) == Fraction(135, 28)
-        assert facet_contribution(model, 0, 3) == Fraction(17, 28)
+        contributions = invariant_coordinate(model, 0).facet_contributions
+        assert contributions[2] == Fraction(-44, 28)
+        assert contributions[0] == Fraction(135, 28)
+        assert contributions[3] == Fraction(17, 28)
 
 
 class TestInvariantCoordinate:
@@ -125,7 +124,7 @@ class TestStructuralProperties:
     def test_normalization_integral_vanishes(self):
         model = blowup_pipeline(Fraction(7, 3), Fraction(2, 3))
         for a in range(model.m):
-            kappa = normalized_constant(model, a)
+            kappa = invariant_coordinate(model, a).kappa
             centered = model.slices[a] + AffineForm.make(-kappa, (0,) * model.dim)
             assert integrate_affine(model.polytope, centered) == 0
 
@@ -138,7 +137,7 @@ class TestStructuralProperties:
 
     def test_kappa_relation_constants(self):
         model = blowup_pipeline(Fraction(9, 4), Fraction(1, 2))
-        kappas = [normalized_constant(model, a) for a in range(model.m)]
+        kappas = [invariant_coordinate(model, a).kappa for a in range(model.m)]
         for i in range(model.r):
             w = model.weights.row(i)
             assert sum(wk * k for wk, k in zip(w, kappas)) == model.level[i]

@@ -26,11 +26,13 @@ def _blowup_model():
 
 
 def test_unnormalized_facet_measure_fails_facet_comparison(monkeypatch):
-    def euclidean_ish(facet, apex_rule="lexmin"):
-        # drop the 1/<u,u> lattice normalization
-        return polytope.facet_lattice_volume(facet, apex_rule) * facet.normal_norm_sq
+    lattice_measure = polytope._facet_cell_measure
 
-    monkeypatch.setattr(invariant, "facet_lattice_volume", euclidean_ish)
+    def euclidean_ish(facet, cell):
+        # drop the 1/<u,u> lattice normalization
+        return lattice_measure(facet, cell) * facet.normal_norm_sq
+
+    monkeypatch.setattr(polytope, "_facet_cell_measure", euclidean_ish)
     model = _blowup_model()
     p = BlowupParams(Fraction(2), Fraction(1))
     rep = invariant.invariant_coordinate(model, 0)
