@@ -19,7 +19,6 @@ from .exact_linalg import (
     ZeroVector,
     determinant,
     integer_kernel,
-    invariant_factors,
     primitive,
     solve_rational,
 )
@@ -74,7 +73,7 @@ __all__ = [
     "enumerate_vertices", "facet_lattice_volume",
     "facet_values_closed_form", "integer_kernel", "integrate_affine",
     "integrate_affine_facet", "invariant_closed_form", "invariant_coordinate",
-    "invariant_factors", "invariant_loop", "kappa_closed_form",
+    "invariant_loop", "kappa_closed_form",
     "lasserre_volume", "primitive", "simplex_volume",
     "smoothness_class", "solve_rational", "triangulate", "verdict", "volume",
 ]

@@ -11,9 +11,8 @@ and the polytope is {x : s_k(x) >= 0 for all k}.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import fourier_motzkin as fm
 from .exact_linalg import (
@@ -52,8 +51,7 @@ class AssumptionsViolated(Exception):
         super().__init__("; ".join(problems) or "assumptions violated")
 
 
-@dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(NamedTuple):
     rank: int
     required_rank: int
     halfspace_ok: bool
@@ -71,11 +69,9 @@ class AssumptionReport:
 class SmoothnessClass(enum.Enum):
     DELZANT = "Delzant"
     SIMPLE_ONLY = "SimpleOnly"
-    NON_SIMPLE = "NonSimple"
 
 
-@dataclass(frozen=True)
-class DelzantModel:
+class DelzantModel(NamedTuple):
     """Weight data plus its polytope in kernel-slice coordinates.
 
     scales[k] is the gcd factor relating slice k's gradient to the stored
@@ -194,27 +190,13 @@ def build_model(W: IntMatrix, level: Sequence,
 def smoothness_class(model: DelzantModel) -> SmoothnessClass:
     """Vertex-by-vertex facet-normal test.
 
-    Delzant: every vertex lies on exactly n facets whose primitive normals
-    have determinant +-1. SimpleOnly: exactly n facets everywhere but some
-    determinant differs from +-1. NonSimple otherwise. Inequalities whose
-    tight set is empty or lower-dimensional do not define facets and are
-    ignored.
+    build_model has already refused any vertex that does not lie on exactly
+    n slices, so every polytope here is simple and each tight inequality
+    defines a facet. Delzant: at every vertex the n primitive normals have
+    determinant +-1. SimpleOnly: some determinant differs from +-1.
     """
     poly = model.polytope
-    n = poly.dim
-    if n == 0:
-        return SmoothnessClass.DELZANT
-    facet_defining = {k for k in range(len(poly.inequalities)) if poly.facet(k).full}
-    simple = True
-    unimodular = True
-    for inc in poly.incidence:
-        distinct = sorted({poly.inequalities[k] for k in inc if k in facet_defining})
-        if len(distinct) != n:
-            simple = False
-            break
-        det = determinant([u for u, _ in distinct])
-        if abs(det) != 1:
-            unimodular = False
-    if not simple:
-        return SmoothnessClass.NON_SIMPLE
-    return SmoothnessClass.DELZANT if unimodular else SmoothnessClass.SIMPLE_ONLY
+    for tight in poly.incidence:
+        if abs(determinant([poly.inequalities[k][0] for k in tight])) != 1:
+            return SmoothnessClass.SIMPLE_ONLY
+    return SmoothnessClass.DELZANT

@@ -8,7 +8,6 @@ row-major.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -28,19 +27,30 @@ class NotSquare(Exception):
 Vector = tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
 class IntMatrix:
     """Dense integer matrix; entries row-major, len(entries) == rows*cols."""
 
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
+    __slots__ = ("rows", "cols", "entries")
 
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
+    def __init__(self, rows: int, cols: int, entries: tuple[int, ...]) -> None:
+        if rows < 0 or cols < 0:
             raise ValueError("negative shape")
-        if len(self.entries) != self.rows * self.cols:
+        if len(entries) != rows * cols:
             raise ValueError("entry count does not match shape")
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntMatrix):
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
+
+    def __hash__(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __repr__(self) -> str:
+        return f"IntMatrix(rows={self.rows}, cols={self.cols}, entries={self.entries})"
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
@@ -256,52 +266,3 @@ def integer_kernel(W: IntMatrix) -> IntMatrix:
     n = m - rank
     entries = tuple(kernel_vectors[j][i] for i in range(m) for j in range(n))
     return IntMatrix(m, n, entries)
-
-
-def invariant_factors(M: IntMatrix) -> list[int]:
-    """Diagonal of the Smith normal form (nonzero invariant factors only)."""
-    A = M.row_lists()
-    nrows, ncols = len(A), M.cols
-    factors: list[int] = []
-    t = 0
-    while t < min(nrows, ncols):
-        if all(A[i][j] == 0 for i in range(t, nrows) for j in range(t, ncols)):
-            break
-        while True:
-            i0, j0 = min(((i, j) for i in range(t, nrows) for j in range(t, ncols)
-                          if A[i][j] != 0),
-                         key=lambda ij: (abs(A[ij[0]][ij[1]]), ij))
-            if i0 != t:
-                A[t], A[i0] = A[i0], A[t]
-            if j0 != t:
-                for row in A:
-                    row[t], row[j0] = row[j0], row[t]
-            p = A[t][t]
-            dirty = False
-            for i in range(t + 1, nrows):
-                if A[i][t] != 0:
-                    q = A[i][t] // p
-                    if q:
-                        A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    if A[i][t] != 0:
-                        dirty = True
-            for j in range(t + 1, ncols):
-                if A[t][j] != 0:
-                    q = A[t][j] // p
-                    if q:
-                        for row in A:
-                            row[j] -= q * row[t]
-                    if A[t][j] != 0:
-                        dirty = True
-            if dirty:
-                continue
-            p = A[t][t]
-            bad = next((i for i in range(t + 1, nrows)
-                        for j in range(t + 1, ncols) if A[i][j] % p != 0), None)
-            if bad is None:
-                break
-            # fold a non-divisible row into the pivot row and keep reducing
-            A[t] = [a + b for a, b in zip(A[t], A[bad])]
-        factors.append(abs(A[t][t]))
-        t += 1
-    return factors

@@ -16,10 +16,9 @@ facet formula for combined rotations.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .delzant import DelzantModel
 from .polytope import AffineForm, Moments
@@ -30,14 +29,24 @@ class Verdict(enum.Enum):
     INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
 class LoopSpec:
     """Integer weight per coordinate; weight c rotates that coordinate c times."""
 
-    weights: tuple[int, ...]
+    __slots__ = ("weights",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "weights", tuple(int(c) for c in self.weights))
+    def __init__(self, weights: Sequence[int]) -> None:
+        self.weights = tuple(int(c) for c in weights)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, LoopSpec):
+            return NotImplemented
+        return self.weights == other.weights
+
+    def __hash__(self) -> int:
+        return hash(self.weights)
+
+    def __repr__(self) -> str:
+        return f"LoopSpec(weights={self.weights})"
 
     @classmethod
     def coordinate(cls, m: int, index: int) -> "LoopSpec":
@@ -46,8 +55,7 @@ class LoopSpec:
         return cls(tuple(1 if k == index else 0 for k in range(m)))
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     loop: LoopSpec
     kappa: Fraction
     facet_contributions: tuple[Fraction, ...]

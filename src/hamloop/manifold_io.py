@@ -19,9 +19,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .delzant import DelzantModel, SmoothnessClass
 from .exact_linalg import IntMatrix
@@ -59,8 +58,7 @@ def format_rational(q: Fraction) -> str:
     return str(Fraction(q))
 
 
-@dataclass(frozen=True)
-class ManifoldInput:
+class ManifoldInput(NamedTuple):
     name: str
     weights: IntMatrix
     level: tuple[Fraction, ...]

@@ -9,7 +9,6 @@ on by both circles, coordinate 3 by the second circle only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact_linalg import IntMatrix
@@ -23,22 +22,23 @@ class InternalInconsistency(Exception):
     """Two independent closed-form routes disagree (an implementation bug)."""
 
 
-@dataclass(frozen=True)
 class BlowupParams:
     """Sizes (tau, mu) of the blown-up family, with 0 < mu < tau."""
 
-    tau: Fraction
-    mu: Fraction
+    __slots__ = ("tau", "mu")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", Fraction(self.tau))
-        object.__setattr__(self, "mu", Fraction(self.mu))
+    def __init__(self, tau, mu) -> None:
+        self.tau = Fraction(tau)
+        self.mu = Fraction(mu)
         if self.tau <= 0:
             raise BadParams("tau > 0 required")
         if self.mu <= 0:
             raise BadParams("mu > 0 required")
         if not self.mu < self.tau:
             raise BadParams("mu < tau required")
+
+    def __repr__(self) -> str:
+        return f"BlowupParams(tau={self.tau!r}, mu={self.mu!r})"
 
     @property
     def lam(self) -> Fraction:

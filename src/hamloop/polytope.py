@@ -12,11 +12,10 @@ edge matrix E this is |det [E | u]| / ((n-1)! * <u, u>), an exact rational.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import factorial
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import fourier_motzkin as fm
 from .exact_linalg import (
@@ -50,8 +49,7 @@ def _dot(u: Sequence, x: Sequence) -> Fraction:
     return sum(Fraction(a) * b for a, b in zip(u, x))
 
 
-@dataclass(frozen=True)
-class AffineForm:
+class AffineForm(NamedTuple):
     """Affine function x -> constant + <gradient, x> with exact coefficients."""
 
     constant: Fraction
@@ -75,17 +73,20 @@ class AffineForm:
         return cls(Fraction(constant), tuple(Fraction(g) for g in gradient))
 
 
-@dataclass(frozen=True)
 class Simplex:
     """Affinely independent vertex tuple; rejects flat input."""
 
-    vertices: tuple[Point, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self) -> None:
-        if not self.vertices:
+    def __init__(self, vertices: tuple[Point, ...]) -> None:
+        if not vertices:
             raise DegenerateInput("empty simplex")
-        if _affine_dim(self.vertices) != len(self.vertices) - 1:
+        if _affine_dim(vertices) != len(vertices) - 1:
             raise DegenerateInput("simplex vertices are affinely dependent")
+        self.vertices = vertices
+
+    def __repr__(self) -> str:
+        return f"Simplex(vertices={self.vertices!r})"
 
     @property
     def dimension(self) -> int:
@@ -112,11 +113,10 @@ def simplex_volume(s: Simplex) -> Fraction:
     return abs(determinant(rows)) / factorial(n)
 
 
-@dataclass(frozen=True)
-class Facet:
+class Facet(NamedTuple):
     """One inequality's tight face, with its primitive normal retained."""
 
-    polytope: "Polytope"
+    polytope: Polytope
     index: int
     normal: tuple[int, ...]
     normal_norm_sq: int
@@ -278,8 +278,7 @@ def triangulate(poly: Polytope, apex_rule: str = "lexmin") -> list[Simplex]:
             for cell in _face_cells(poly, ids, apex_rule)]
 
 
-@dataclass(frozen=True)
-class Moments:
+class Moments(NamedTuple):
     """Mass (integral of 1) and first moment (integral of x) of a region."""
 
     mass: Fraction

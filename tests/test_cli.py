@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -216,3 +220,15 @@ class TestOracle:
         out = capsys.readouterr().out
         assert "I(e1) = 0" in out
         assert "kappa = 1/3" in out
+
+
+def test_import_generates_no_dataclass_methods():
+    """Every command pays the package import; it must not pull in dataclasses."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import hamloop.cli, sys; print('dataclasses' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"

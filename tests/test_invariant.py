@@ -77,6 +77,14 @@ class TestInvariantCoordinate:
         assert rep.kappa == Fraction(15, 56)
 
 
+class TestLoopSpec:
+    def test_coerces_to_int_tuple(self):
+        assert LoopSpec([1, 0]) == LoopSpec((1, 0))
+        assert hash(LoopSpec([1, 0])) == hash(LoopSpec((1, 0)))
+        assert all(type(c) is int for c in LoopSpec([True, Fraction(2)]).weights)
+        assert LoopSpec((1, 0)) != LoopSpec((0, 1))
+
+
 class TestInvariantLoop:
     def test_coordinate_three(self):
         rep = invariant_loop(blowup_pipeline(2, 1), LoopSpec((0, 0, 1, 0, 0)))
