@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 malformed input, 2 mathematical validation
-failure (empty or unbounded polytope, failed standing assumption,
-irregular level, parameters outside their valid range).
+failure (failed standing assumption, empty polytope, irregular level,
+parameters outside their valid range). An unbounded polytope cannot occur
+once the open half-space check passes.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .oracles import (
     invariant_closed_form,
     kappa_closed_form,
 )
-from .polytope import EmptyPolytope, UnboundedPolytope
+from .polytope import EmptyPolytope
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -107,8 +108,6 @@ def _run_compute(args) -> int:
                         "the weight vectors")
     except EmptyPolytope as exc:
         return _fail(2, f"validation failed: the moment polytope is empty ({exc})")
-    except UnboundedPolytope as exc:
-        return _fail(2, f"validation failed: the moment polytope is unbounded ({exc})")
     except NotFullDimensional as exc:
         return _fail(2, f"validation failed: tau is not a regular value ({exc})")
 

@@ -26,10 +26,11 @@ from .exact_linalg import (
 from .polytope import (
     AffineForm,
     EmptyPolytope,
+    Facet,
     Moments,
     Polytope,
+    enumerate_vertices,
     facet_moments,
-    interior_point,
     moments,
 )
 
@@ -77,9 +78,10 @@ class DelzantModel(NamedTuple):
     scales[k] is the gcd factor relating slice k's gradient to the stored
     primitive facet normal (row_k(Q) = scales[k] * normal); it is None for
     slices whose gradient vanishes (constant slices, which never cut the
-    polytope). ineq_index maps each coordinate to its inequality index in
-    the polytope, or None for constant slices, as is facet_moments[k]. The
-    moments are computed once, here; every integral downstream reads them.
+    polytope). facets[k] is coordinate k's Facet of the polytope (its index
+    there, primitive normal and vertices), or None for a constant slice, as
+    is facet_moments[k]. Facets and moments are computed once, here; the
+    invariants and the report read them.
     """
 
     weights: IntMatrix
@@ -88,7 +90,7 @@ class DelzantModel(NamedTuple):
     base_solution: tuple[Fraction, ...]
     slices: tuple[AffineForm, ...]
     scales: tuple[Optional[int], ...]
-    ineq_index: tuple[Optional[int], ...]
+    facets: tuple[Optional[Facet], ...]
     polytope: Polytope
     assumptions: AssumptionReport
     moments: Moments
@@ -105,10 +107,6 @@ class DelzantModel(NamedTuple):
     @property
     def dim(self) -> int:
         return self.polytope.dim
-
-    def facet_of_coord(self, k: int):
-        idx = self.ineq_index[k]
-        return None if idx is None else self.polytope.facet(idx)
 
 
 def check_assumptions(W: IntMatrix) -> AssumptionReport:
@@ -157,7 +155,7 @@ def build_model(W: IntMatrix, level: Sequence,
                    for k in range(m))
 
     scales: list[Optional[int]] = []
-    ineq_index: list[Optional[int]] = []
+    facet_index: list[Optional[int]] = []
     inequalities = []
     for k in range(m):
         row = Q.row(k)
@@ -167,24 +165,25 @@ def build_model(W: IntMatrix, level: Sequence,
             if s0[k] == 0:
                 raise NotFullDimensional(f"slice {k} vanishes identically")
             scales.append(None)
-            ineq_index.append(None)
+            facet_index.append(None)
             continue
         u, g = primitive(row)
         scales.append(g)
-        ineq_index.append(len(inequalities))
+        facet_index.append(len(inequalities))
         inequalities.append((u, s0[k] / g))
 
-    poly = Polytope.from_inequalities(n, inequalities)
-    if n > 0 and interior_point(n, poly.inequalities) is None:
-        raise NotFullDimensional("the polytope has empty interior")
+    # No Fourier-Motzkin test is needed: the half-space check bounds the
+    # polytope (Qy >= 0 forces y = 0), and a lower-dimensional one has a
+    # vertex on more than n slices, which the vertex check refuses.
+    poly = Polytope(n, inequalities, *enumerate_vertices(n, inequalities))
     for vertex, tight in zip(poly.vertices, poly.incidence):
         if len(tight) != n:
             raise NotFullDimensional(f"{len(tight)} slices vanish at the vertex "
                                      f"({', '.join(map(str, vertex))}), not n = {n}")
-    facets = tuple(None if idx is None else facet_moments(poly.facet(idx))
-                   for idx in ineq_index)
-    return DelzantModel(W, level_vec, Q, s0, slices, tuple(scales), tuple(ineq_index),
-                        poly, report, moments(poly), facets)
+    facets = tuple(None if idx is None else poly.facet(idx) for idx in facet_index)
+    return DelzantModel(W, level_vec, Q, s0, slices, tuple(scales), facets, poly, report,
+                        moments(poly),
+                        tuple(None if f is None else facet_moments(f) for f in facets))
 
 
 def smoothness_class(model: DelzantModel) -> SmoothnessClass:

@@ -136,7 +136,7 @@ def build_report(inp: ManifoldInput, model: DelzantModel, smoothness: Smoothness
     facets = []
     for k in range(model.m):
         entry: dict = {"coordinate": k + 1}
-        facet = model.facet_of_coord(k)
+        facet = model.facets[k]
         if facet is None:
             entry.update(normal=None, offset=None, scale=None,
                          lattice_volume="0", empty=True)

@@ -149,12 +149,20 @@ class Polytope:
     @classmethod
     def from_inequalities(cls, dim: int,
                           inequalities: Iterable[tuple[Sequence[int], object]]) -> "Polytope":
+        """Polytope of any inequality system, with primitive normals.
+
+        Fourier-Motzkin decides boundedness (else UnboundedPolytope, or
+        EmptyPolytope when the system is also infeasible)."""
         normalized: list[Inequality] = []
         for raw_u, raw_c in inequalities:
             u, g = primitive(raw_u)
             normalized.append((u, Fraction(raw_c) / g))
-        vertices, incidence = enumerate_vertices(dim, normalized)
-        return cls(dim, normalized, vertices, incidence)
+        ray = _recession_ray(dim, [u for u, _ in normalized])
+        if ray is not None:
+            if fm.feasible([fm.make(u, -c) for u, c in normalized], dim):
+                raise UnboundedPolytope(f"recession ray {ray} satisfies every inequality")
+            raise EmptyPolytope("inequalities are infeasible")
+        return cls(dim, normalized, *enumerate_vertices(dim, normalized))
 
     def facet(self, k: int) -> Facet:
         u, _ = self.inequalities[k]
@@ -164,19 +172,15 @@ class Polytope:
 
 
 def enumerate_vertices(dim: int, inequalities: Sequence[Inequality]):
-    """Vertices and full incidence of the polytope {x : c_k + <u_k, x> >= 0}.
+    """Vertices and full incidence of the bounded polytope {x : c_k + <u_k, x> >= 0}.
 
     Brute force: every dim-subset of inequalities with invertible normal
     matrix is solved and the solution kept when it satisfies all
-    inequalities. Raises UnboundedPolytope when the recession cone is
-    nontrivial and EmptyPolytope when there is no solution at all.
+    inequalities. Raises EmptyPolytope when no vertex is found. Boundedness
+    is the caller's to ensure: Polytope.from_inequalities checks it by
+    Fourier-Motzkin, and build_model's open half-space check implies it.
     """
     ineqs = list(inequalities)
-    ray = _recession_ray(dim, [u for u, _ in ineqs])
-    if ray is not None:
-        if _feasible(dim, ineqs):
-            raise UnboundedPolytope(f"recession ray {ray} satisfies every inequality")
-        raise EmptyPolytope("inequalities are infeasible")
     if dim == 0:
         if all(c >= 0 for _, c in ineqs):
             tight = frozenset(k for k, (_, c) in enumerate(ineqs) if c == 0)
@@ -198,10 +202,6 @@ def enumerate_vertices(dim: int, inequalities: Sequence[Inequality]):
         frozenset(k for k, (u, c) in enumerate(ineqs) if c + _dot(u, v) == 0)
         for v in vertices)
     return vertices, incidence
-
-
-def _feasible(dim: int, ineqs: Sequence[Inequality]) -> bool:
-    return fm.feasible([fm.make(u, -c) for u, c in ineqs], dim)
 
 
 def interior_point(dim: int, ineqs: Sequence[Inequality]) -> Optional[Point]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import hamloop.delzant as delzant
+import hamloop.fourier_motzkin as fourier_motzkin
 import hamloop.polytope as polytope
 from hamloop.cli import main
 from hamloop.manifold_io import parse_rational
@@ -109,6 +110,8 @@ class TestCompute:
         (BLOWUP_DOC["weights"], ["2", "2"]),
         # level on the ray of the third weight column
         ([[1, 0], [1, 0], [1, 1], [1, 2]], ["3", "3"]),
+        # second projective line at level 0: the polytope is a segment
+        ([[1, 0], [1, 0], [0, 1], [0, 1]], ["1", "0"]),
     ])
     def test_non_regular_level_exits_2(self, tmp_path, capsys, weights, tau):
         path = tmp_path / "wall.json"
@@ -117,15 +120,18 @@ class TestCompute:
         assert "not a regular value" in capsys.readouterr().err
 
     def test_geometry_computed_once(self, blowup_file, tmp_path, monkeypatch, capsys):
-        calls = {"triangulate": 0, "check_assumptions": 0}
-        for module, name in ((polytope, "triangulate"), (delzant, "check_assumptions")):
-            def counted(*args, _original=getattr(module, name), _name=name, **kwargs):
+        # one Fourier-Motzkin run, for the half-space witness, and one
+        # Facet per non-constant slice of the blow-up (m = 5)
+        calls = {"triangulate": 0, "check_assumptions": 0, "find_point": 0, "facet": 0}
+        for owner, name in ((polytope, "triangulate"), (delzant, "check_assumptions"),
+                            (fourier_motzkin, "find_point"), (polytope.Polytope, "facet")):
+            def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         out = tmp_path / "report.json"
         assert main(["compute", str(blowup_file), "--all", "--json", str(out)]) == 0
-        assert calls == {"triangulate": 1, "check_assumptions": 1}
+        assert calls == {"triangulate": 1, "check_assumptions": 1, "find_point": 1, "facet": 5}
 
     def test_bad_loop_index_exits_1(self, cp2_file, capsys):
         assert main(["compute", str(cp2_file), "--loop-index", "7"]) == 1

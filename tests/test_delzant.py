@@ -19,8 +19,8 @@ from hamloop import (
     smoothness_class,
     volume,
 )
-from hamloop.polytope import moments
-from hamloop.selftest import random_bounded_polytope, random_weight_data
+from hamloop.polytope import _recession_ray, interior_point, moments
+from hamloop.selftest import random_bounded_polytope, random_weight_data, standard_grid
 
 
 def blowup(tau=2, mu=1):
@@ -90,7 +90,7 @@ class TestBuildModel:
     def test_irregular_level(self):
         # weights (1), (1), (2): level 0 pinches the polytope to a point
         W = IntMatrix.from_rows([[1, 1, 2]])
-        with pytest.raises((NotFullDimensional, EmptyPolytope)):
+        with pytest.raises(NotFullDimensional):
             build_model(W, (Fraction(0),))
 
     def test_slice_relation_holds_at_random_points(self):
@@ -111,7 +111,7 @@ class TestBuildModel:
         model = build_model(W, (Fraction(1),))
         assert sorted(s for s in model.scales) == [1, 2]
         for k in range(model.m):
-            facet = model.facet_of_coord(k)
+            facet = model.facets[k]
             row = model.kernel_basis.row(k)
             assert tuple(model.scales[k] * e for e in facet.normal) == row
 
@@ -120,8 +120,8 @@ class TestBuildModel:
         W = IntMatrix.from_rows([[1, 0, 0], [0, 1, 1]])
         model = build_model(W, (Fraction(2), Fraction(1)))
         assert model.dim == 1
-        assert model.ineq_index[0] is None and model.scales[0] is None
-        assert model.facet_of_coord(0) is None
+        assert model.facets[0] is None and model.scales[0] is None
+        assert model.facet_moments[0] is None
         assert model.slices[0].gradient == (Fraction(0),)
         assert model.slices[0].constant == 2
 
@@ -159,8 +159,8 @@ class TestChoiceIndependence:
             assert len(other.polytope.vertices) == len(base.polytope.vertices)
             assert volume(other.polytope) == volume(base.polytope)
             for k in range(base.m):
-                assert facet_lattice_volume(other.facet_of_coord(k)) == \
-                    facet_lattice_volume(base.facet_of_coord(k))
+                assert facet_lattice_volume(other.facets[k]) == \
+                    facet_lattice_volume(base.facets[k])
 
 
 class TestMoments:
@@ -190,3 +190,25 @@ class TestMoments:
             assert model.moments.mass == lasserre_volume(model.polytope)
             assert model.moments == moments(model.polytope, "lexmax")
         assert regular > 0
+
+
+class TestHypothesesImplyFourierMotzkinChecks:
+    """build_model runs no Fourier-Motzkin test on its polytope: the
+    half-space check implies boundedness and the regular-level check implies
+    full dimension. Fourier-Motzkin stays the reference for both."""
+
+    def test_models_are_bounded_and_full_dimensional(self):
+        rng = random.Random(2026)
+        models = [blowup(p.tau, p.mu) for p in standard_grid()]
+        for _ in range(172):
+            try:
+                models.append(build_model(*random_weight_data(rng)))
+            except NotFullDimensional:
+                continue
+        assert len(models) > 150
+        for model in models:
+            poly = model.polytope
+            assert _recession_ray(model.dim, [u for u, _ in poly.inequalities]) is None
+            x = interior_point(model.dim, poly.inequalities)
+            # constant slices are positive constants, or build_model refuses
+            assert x is not None and all(s(x) > 0 for s in model.slices)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -7,6 +8,7 @@ from hamloop import (
     AffineForm,
     BlowupParams,
     LoopSpec,
+    NotFullDimensional,
     Verdict,
     blowup_model,
     build_model,
@@ -16,7 +18,7 @@ from hamloop import (
     invariant_loop,
     verdict,
 )
-from hamloop.selftest import standard_grid
+from hamloop.selftest import random_weight_data, standard_grid
 
 
 def blowup_pipeline(tau, mu):
@@ -162,6 +164,44 @@ class TestStructuralProperties:
             model = blowup_pipeline(p.tau, p.mu)
             for i in range(model.r):
                 assert invariant_loop(model, model.weights.row(i)).invariant == 0
+
+    def test_torus_rows_null_facet_by_facet(self):
+        # sum_a W_ia Q_a = 0, so each facet term of a W-row loop vanishes alone
+        rng = random.Random(2027)
+        models = [blowup_pipeline(p.tau, p.mu) for p in standard_grid()]
+        for _ in range(40):
+            try:
+                models.append(build_model(*random_weight_data(rng)))
+            except NotFullDimensional:
+                continue
+        for model in models:
+            for i in range(model.r):
+                rep = invariant_loop(model, model.weights.row(i))
+                assert rep.facet_contributions == (0,) * model.m
+
+    def test_monotone_level(self):
+        # At tau = lam * sum_a w_a every slice equals lam at one point; with
+        # every scale 1 the divergence theorem gives I(e_a) from moments alone.
+        rng = random.Random(2028)
+        cases = [(blowup_model(BlowupParams(2, 1))[0], lam)
+                 for lam in (Fraction(1, 2), Fraction(2, 3), Fraction(1))]
+        cases += [(random_weight_data(rng)[0], Fraction(rng.randint(1, 5), rng.randint(1, 3)))
+                  for _ in range(60)]
+        checked = 0
+        for W, lam in cases:
+            level = tuple(lam * sum(W.row(i)) for i in range(W.rows))
+            try:
+                model = build_model(W, level)
+            except NotFullDimensional:
+                continue
+            if not set(model.scales) <= {None, 1}:
+                continue
+            for a in range(model.m):
+                rep = invariant_coordinate(model, a)
+                assert rep.invariant == \
+                    -factorial(model.dim) * model.moments.mass * (rep.kappa / lam - 1)
+                checked += 1
+        assert checked > 100
 
     def test_reports_identical_across_choices(self):
         from hamloop.selftest import random_unimodular

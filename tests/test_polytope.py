@@ -61,11 +61,11 @@ class TestEnumerateVertices:
 
     def test_half_space_unbounded(self):
         with pytest.raises(UnboundedPolytope):
-            enumerate_vertices(1, [((1,), Fraction(0))])
+            Polytope.from_inequalities(1, [((1,), Fraction(0))])
 
     def test_empty(self):
         with pytest.raises(EmptyPolytope):
-            enumerate_vertices(1, [((1,), Fraction(0)), ((-1,), Fraction(-1))])
+            Polytope.from_inequalities(1, [((1,), Fraction(0)), ((-1,), Fraction(-1))])
 
 
 class TestTriangulate:
